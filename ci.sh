@@ -22,6 +22,23 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
+echo "== guard: one FNV-1a, one durable write =="
+# FNV-1a 64 lives once, in dfm-rand; the staged tmp+sync+rename write
+# lives once, in dfm-cache's durable module. Copies must not grow back.
+fnv=$(grep -rnE --include='*.rs' 'fn fnv1a_64\b' crates src tests || true)
+if [[ $(printf '%s' "$fnv" | grep -c .) -ne 1 ]]; then
+    echo "error: expected exactly one fn fnv1a_64, found:" >&2
+    echo "$fnv" >&2
+    exit 1
+fi
+syncs=$(grep -rn --include='*.rs' 'sync_all' crates src tests | grep -v '^crates/cache/src/durable.rs:' || true)
+if [[ -n "$syncs" ]]; then
+    echo "error: sync_all outside crates/cache/src/durable.rs:" >&2
+    echo "$syncs" >&2
+    exit 1
+fi
+echo "ok"
+
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

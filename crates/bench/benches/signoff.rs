@@ -54,7 +54,9 @@ fn bench_signoff_job_e2e(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = job_spec();
     for workers in [1usize, 2, 4] {
-        let service = SignoffService::new(workers, None);
+        let service = SignoffService::with_config(
+            ServiceConfig::builder().threads(workers).build(),
+        );
         b.bench(&format!("signoff_job_e2e_w{workers}"), || {
             black_box(run_job(&service, &spec, &gds_bytes))
         });
@@ -71,7 +73,7 @@ fn bench_signoff_saturation(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = job_spec();
     let workers = 4usize;
-    let service = SignoffService::new(workers, None);
+    let service = SignoffService::with_config(ServiceConfig::builder().threads(workers).build());
     let ids: Vec<u64> = (0..3)
         .map(|_| service.submit(spec.clone(), gds_bytes.clone()).expect("submit"))
         .collect();
@@ -97,10 +99,9 @@ fn bench_signoff_warm_cache(b: &mut Bencher) {
     let root = std::env::temp_dir().join(format!("dfm-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
-    let service = SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..ServiceConfig::new(4)
-    });
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).cache(Arc::clone(&cache)).build(),
+    );
     run_job(&service, &spec, &gds_bytes); // prime
     b.bench("signoff_job_warm_cache_w4", || {
         black_box(run_job(&service, &spec, &gds_bytes))
@@ -128,7 +129,7 @@ fn bench_signoff_warm_cache(b: &mut Bencher) {
 fn bench_signoff_score_fix(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = JobSpec { score: Some("default".to_string()), ..job_spec() };
-    let service = SignoffService::new(4, None);
+    let service = SignoffService::with_config(ServiceConfig::builder().threads(4).build());
     b.bench("signoff_job_scored_w4", || {
         black_box(run_job(&service, &spec, &gds_bytes))
     });
@@ -136,10 +137,9 @@ fn bench_signoff_score_fix(b: &mut Bencher) {
     let root = std::env::temp_dir().join(format!("dfm-bench-score-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
-    let service = SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..ServiceConfig::new(4)
-    });
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).cache(Arc::clone(&cache)).build(),
+    );
     run_job(&service, &spec, &gds_bytes); // prime
     let outcome = dfm_signoff::auto_fix(&spec, &gds_bytes).expect("fix");
     let id = service.submit(spec.clone(), outcome.gds.clone()).expect("submit");

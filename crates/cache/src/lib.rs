@@ -22,52 +22,47 @@
 //! ## On-disk format
 //!
 //! One file per entry, named from the key
-//! (`e-<spec>-<deck>-<tile>.bin`), written with the same atomic
-//! tmp+rename idiom as the checkpoint store and sealed with a trailing
-//! FNV-1a 64 checksum over everything before it:
+//! (`e-<spec>-<deck>-<tile>.bin`), written by the staged atomic write
+//! of [`durable`] (the same one the checkpoint store uses) as a
+//! [`durable`] sealed frame:
 //!
 //! ```text
 //! magic "DFMC" | version u32 | spec u64 | deck u64 | tile u64
 //! | seq u64 | payload len u64 | payload bytes | checksum u64
 //! ```
 //!
-//! A reader validates the checksum, magic, version, key echo, and
-//! exact length; any mismatch is a silent miss and the bad file is
-//! removed.
+//! A reader validates the seal, key echo, and exact length; any
+//! mismatch is a silent miss and the bad file is removed.
 //!
 //! ## Deterministic eviction
 //!
 //! The store is bounded by a byte budget. When a store would exceed
 //! it, entries are evicted **in insertion order** (lowest sequence
-//! number first) — no clocks, no access-time reordering — so two
-//! caches fed the same store sequence hold the same entries. Eviction
+//! number first, ties broken by key) — no clocks, no access-time
+//! reordering — so two caches fed the same store sequence hold the
+//! same entries. Eviction
 //! only ever converts future hits into recomputes; it can never change
 //! result bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+pub mod durable;
+
+pub use dfm_rand::fnv1a_64;
+pub use durable::StoreStage;
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"DFMC";
 const VERSION: u32 = 1;
-/// Fixed bytes around the payload: magic + version + key (3×u64) +
-/// seq + payload length + trailing checksum.
-const OVERHEAD: usize = 4 + 4 + 8 * 3 + 8 + 8 + 8;
-
-/// FNV-1a 64 over a byte slice (the workspace-standard digest).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// Fixed bytes around the payload: the frame plus key (3×u64), seq
+/// and payload length.
+const OVERHEAD: usize = durable::FRAME_OVERHEAD + 8 * 3 + 8 + 8;
 
 /// The content address of one cached result: digests of the three
 /// inputs the result is a pure function of.
@@ -111,16 +106,6 @@ pub struct CacheStats {
     pub tmp_swept: u64,
 }
 
-/// The staged durable transitions of one atomic store, as seen by the
-/// crash probe of [`TileCache::store_staged`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreStage {
-    /// Tmp file written and synced; rename not yet done.
-    Tmp,
-    /// Entry renamed into place; success not yet reported.
-    Rename,
-}
-
 /// Result of a full-store [`TileCache::verify`] sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyReport {
@@ -138,7 +123,9 @@ struct EntryMeta {
 #[derive(Default)]
 struct Index {
     entries: BTreeMap<CacheKey, EntryMeta>,
-    by_seq: BTreeMap<u64, CacheKey>,
+    /// Eviction order. Keyed by `(seq, key)`, not seq alone: handles
+    /// sharing a root mint the same sequence numbers.
+    by_seq: BTreeSet<(u64, CacheKey)>,
     total_bytes: u64,
     next_seq: u64,
     hits: u64,
@@ -152,7 +139,7 @@ struct Index {
 impl Index {
     fn remove(&mut self, key: &CacheKey) -> Option<EntryMeta> {
         let meta = self.entries.remove(key)?;
-        self.by_seq.remove(&meta.seq);
+        self.by_seq.remove(&(meta.seq, *key));
         self.total_bytes = self.total_bytes.saturating_sub(meta.len);
         Some(meta)
     }
@@ -160,7 +147,7 @@ impl Index {
     fn insert(&mut self, key: CacheKey, seq: u64, len: u64) {
         self.remove(&key);
         self.entries.insert(key, EntryMeta { seq, len });
-        self.by_seq.insert(seq, key);
+        self.by_seq.insert((seq, key));
         self.total_bytes += len;
     }
 }
@@ -190,28 +177,21 @@ impl TileCache {
     pub fn open(root: impl Into<PathBuf>, max_bytes: Option<u64>) -> io::Result<TileCache> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        let mut index = Index::default();
+        let mut index = Index { tmp_swept: durable::sweep_tmp(&root) as u64, ..Index::default() };
         let mut max_seq = 0u64;
         for dirent in fs::read_dir(&root)? {
             let dirent = dirent?;
             let name = dirent.file_name();
             let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // Crash debris: a store died between tmp-write and
-                // rename. The entry never existed; sweep the orphan.
-                if fs::remove_file(dirent.path()).is_ok() {
-                    index.tmp_swept += 1;
-                }
-                continue;
-            }
             if !name.starts_with("e-") || !name.ends_with(".bin") {
                 continue;
             }
             let path = dirent.path();
-            match fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes)) {
-                Some((key, seq, _payload, len)) => {
+            let bytes = fs::read(&path).unwrap_or_default();
+            match decode_entry(&bytes) {
+                Some((key, seq, _)) => {
                     max_seq = max_seq.max(seq);
-                    index.insert(key, seq, len);
+                    index.insert(key, seq, bytes.len() as u64);
                 }
                 None => {
                     let _ = fs::remove_file(&path);
@@ -237,16 +217,26 @@ impl TileCache {
             index.misses += 1;
             return None;
         }
+        let payload = self.read_entry(&mut index, key);
+        if payload.is_some() {
+            index.hits += 1;
+        } else {
+            index.misses += 1;
+        }
+        payload
+    }
+
+    /// The payload of `key`'s entry file, or `None` — after dropping
+    /// the entry and its file — when the file is missing, fails
+    /// validation, or carries another key.
+    fn read_entry(&self, index: &mut Index, key: CacheKey) -> Option<Vec<u8>> {
         let path = self.root.join(key.file_name());
-        match fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes)) {
-            Some((k, _, payload, _)) if k == key => {
-                index.hits += 1;
-                Some(payload)
-            }
+        let bytes = fs::read(&path).unwrap_or_default();
+        match decode_entry(&bytes) {
+            Some((k, _, payload)) if k == key => Some(payload.to_vec()),
             _ => {
                 index.remove(&key);
                 let _ = fs::remove_file(&path);
-                index.misses += 1;
                 index.corrupt_dropped += 1;
                 None
             }
@@ -258,7 +248,7 @@ impl TileCache {
     /// entry landed on disk; `false` when the write failed (treated
     /// like eviction: the result is simply recomputed next time).
     pub fn store(&self, key: CacheKey, payload: &[u8]) -> bool {
-        self.store_staged(key, payload, None)
+        self.store_staged(key, payload, |_| false)
     }
 
     /// [`TileCache::store`] with a crash probe at the two staged
@@ -273,40 +263,22 @@ impl TileCache {
         &self,
         key: CacheKey,
         payload: &[u8],
-        crash: Option<&dyn Fn(StoreStage) -> bool>,
+        crash: impl Fn(StoreStage) -> bool,
     ) -> bool {
         let mut index = self.index.lock().expect("cache lock");
         let seq = index.next_seq;
         index.next_seq += 1;
         let bytes = encode_entry(key, seq, payload);
-        let len = bytes.len() as u64;
         let path = self.root.join(key.file_name());
-        let tmp = path.with_extension("tmp");
-        let staged = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            Ok(())
-        })();
-        if staged.is_err() {
+        let probe = |stage| if crash(stage) { Err(String::new()) } else { Ok(()) };
+        if durable::write_staged(&path, &bytes, probe).is_err() {
             return false;
         }
-        if crash.is_some_and(|c| c(StoreStage::Tmp)) {
-            return false;
-        }
-        if fs::rename(&tmp, &path).is_err() {
-            return false;
-        }
-        if crash.is_some_and(|c| c(StoreStage::Rename)) {
-            return false;
-        }
-        index.insert(key, seq, len);
+        index.insert(key, seq, bytes.len() as u64);
         index.stores += 1;
         if let Some(max) = self.max_bytes {
             while index.total_bytes > max && index.entries.len() > 1 {
-                let (&oldest_seq, &oldest_key) =
-                    index.by_seq.iter().next().expect("non-empty by_seq");
-                let _ = oldest_seq;
+                let Some(&(_, oldest_key)) = index.by_seq.first() else { break };
                 index.remove(&oldest_key);
                 let _ = fs::remove_file(self.root.join(oldest_key.file_name()));
                 index.evictions += 1;
@@ -353,17 +325,9 @@ impl TileCache {
         let keys: Vec<CacheKey> = index.entries.keys().copied().collect();
         let mut report = VerifyReport::default();
         for key in keys {
-            let path = self.root.join(key.file_name());
-            let good = matches!(
-                fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes)),
-                Some((k, _, _, _)) if k == key
-            );
-            if good {
+            if self.read_entry(&mut index, key).is_some() {
                 report.ok += 1;
             } else {
-                index.remove(&key);
-                let _ = fs::remove_file(&path);
-                index.corrupt_dropped += 1;
                 report.removed += 1;
             }
         }
@@ -392,49 +356,26 @@ impl TileCache {
     }
 }
 
-/// Serialises one entry (header + payload + trailing checksum).
+/// Serialises one entry as a sealed frame.
 fn encode_entry(key: CacheKey, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(OVERHEAD + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&key.spec.to_le_bytes());
-    out.extend_from_slice(&key.deck.to_le_bytes());
-    out.extend_from_slice(&key.tile.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let header = OVERHEAD - durable::FRAME_OVERHEAD;
+    let mut out = durable::frame(MAGIC, VERSION, header + payload.len());
+    for v in [key.spec, key.deck, key.tile, seq, payload.len() as u64] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
     out.extend_from_slice(payload);
-    let checksum = fnv1a_64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    durable::seal(out)
 }
 
-/// Validates and splits one entry file. `None` on *any* defect —
-/// truncation, bad checksum, bad magic/version, trailing garbage.
-fn decode_entry(bytes: &[u8]) -> Option<(CacheKey, u64, Vec<u8>, u64)> {
-    if bytes.len() < OVERHEAD {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a_64(body) != checksum {
-        return None;
-    }
-    if &body[..4] != MAGIC {
-        return None;
-    }
-    let u32_at = |at: usize| -> Option<u32> { Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?)) };
-    let u64_at = |at: usize| -> Option<u64> { Some(u64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?)) };
-    if u32_at(4)? != VERSION {
-        return None;
-    }
-    let key = CacheKey { spec: u64_at(8)?, deck: u64_at(16)?, tile: u64_at(24)? };
-    let seq = u64_at(32)?;
-    let payload_len = u64_at(40)? as usize;
-    let payload = body.get(48..)?;
-    if payload.len() != payload_len {
-        return None;
-    }
-    Some((key, seq, payload.to_vec(), bytes.len() as u64))
+/// Validates and splits one entry file into key, seq and payload.
+/// `None` on *any* defect — a broken seal, a short header, or a payload
+/// of the wrong length.
+fn decode_entry(bytes: &[u8]) -> Option<(CacheKey, u64, &[u8])> {
+    let body = durable::unseal(bytes, MAGIC, VERSION)?;
+    let u64_at = |at: usize| Some(u64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?));
+    let key = CacheKey { spec: u64_at(0)?, deck: u64_at(8)?, tile: u64_at(16)? };
+    let payload = body.get(40..)?;
+    (payload.len() as u64 == u64_at(32)?).then_some((key, u64_at(24)?, payload))
 }
 
 #[cfg(test)]
@@ -513,6 +454,31 @@ mod tests {
     }
 
     #[test]
+    fn handles_sharing_a_root_reopen_and_evict_without_panicking() {
+        // Two handles on one root mint the same sequence numbers; the
+        // reopened index must still evict every entry in (seq, key)
+        // order instead of losing track of the colliding ones.
+        let root = fresh_root("shared");
+        let payload = [5u8; 100];
+        let entry = (OVERHEAD + payload.len()) as u64;
+        let a = TileCache::open(&root, None).expect("open a");
+        let b = TileCache::open(&root, None).expect("open b");
+        for t in 0..3 {
+            assert!(a.store(key(t), &payload));
+            assert!(b.store(key(10 + t), &payload));
+        }
+        drop((a, b));
+        let cache = TileCache::open(&root, Some(2 * entry)).expect("reopen");
+        assert_eq!(cache.len(), 6);
+        assert!(cache.store(key(99), &payload));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 5);
+        assert!(cache.contains(key(12)), "the newest of the colliding seq 3 survives");
+        assert_eq!(cache.lookup(key(99)).as_deref(), Some(&payload[..]));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn corrupt_truncated_and_empty_entries_are_silent_misses() {
         let root = fresh_root("corrupt");
         let cache = TileCache::open(&root, None).expect("open");
@@ -575,13 +541,13 @@ mod tests {
         {
             let cache = TileCache::open(&root, None).expect("open");
             // Crash after the tmp write: no entry, an orphan tmp file.
-            assert!(!cache.store_staged(key(1), b"one", Some(&|s| s == StoreStage::Tmp)));
+            assert!(!cache.store_staged(key(1), b"one", |s| s == StoreStage::Tmp));
             assert!(cache.lookup(key(1)).is_none());
             let tmp = root.join(key(1).file_name()).with_extension("tmp");
             assert!(tmp.exists(), "orphan tmp is the documented debris");
             // Crash after the rename: durable but unacknowledged — this
             // process keeps treating it as absent.
-            assert!(!cache.store_staged(key(2), b"two", Some(&|s| s == StoreStage::Rename)));
+            assert!(!cache.store_staged(key(2), b"two", |s| s == StoreStage::Rename));
             assert!(cache.lookup(key(2)).is_none(), "index died with the process");
             assert_eq!(cache.stats().stores, 0);
         }

@@ -368,16 +368,9 @@ pub struct FailureInfo<V> {
     pub message: String,
 }
 
-/// FNV-1a 64-bit hash — used to mix property names into case seeds;
-/// also handy for content digests in golden-file tests.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64 (from `dfm-rand`) — mixes property names into case
+/// seeds; also the content digest of the golden-file tests.
+pub use dfm_rand::fnv1a_64;
 
 fn case_seed(run_seed: u64, name: &str, index: u64) -> u64 {
     Seed(run_seed ^ fnv1a_64(name.as_bytes())).derive(index).0
@@ -808,11 +801,5 @@ mod tests {
         let shrunk = gen.shrink(&"zz".to_string());
         assert!(shrunk.contains(&"z".to_string()));
         assert!(shrunk.contains(&"az".to_string()));
-    }
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -51,7 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dfm_rand::{Rng, Seed};
+use dfm_rand::{fnv1a_64, Rng, Seed};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -349,16 +349,6 @@ fn decision_unit(seed: u64, rule_idx: u64, site: &str, key: u64, attempt: u64) -
     let site_hash = fnv1a_64(site.as_bytes());
     let derived = Seed(seed).derive(rule_idx).derive(site_hash).derive(key).derive(attempt);
     Rng::from_seed(derived).f64()
-}
-
-/// FNV-1a 64 (local copy; this crate stays leaf-level on purpose).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One injected fault, as recorded in the [`FaultPlane`] log.

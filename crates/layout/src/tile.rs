@@ -17,6 +17,7 @@
 use crate::view::LayoutView;
 use crate::{CellId, FlatLayout, Layer, LayoutError, Library};
 use dfm_geom::{Coord, Rect, Region, TileGrid, Transform};
+use dfm_rand::Fnv1a;
 use std::collections::BTreeMap;
 
 /// Configuration of a tile shard: tile size, halo margin, layer filter.
@@ -192,21 +193,25 @@ impl TileView {
     /// coordinates, so an identical tile at the same place in an
     /// edited layout keeps its digest.
     pub fn content_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for r in [self.core, self.window] {
-            h = fnv_rect(h, r);
-        }
+        let mut h = Fnv1a::new();
+        let rect = |h: &mut Fnv1a, r: Rect| {
+            for c in [r.x0, r.y0, r.x1, r.y1] {
+                h.write_u64(c as u64);
+            }
+        };
+        rect(&mut h, self.core);
+        rect(&mut h, self.window);
         for (layer, region) in &self.layers {
-            h = fnv_u64(h, 0x004c_4159_4552_u64); // "LAYER" marker
-            h = fnv_u64(h, layer.layer as u64);
-            h = fnv_u64(h, layer.datatype as u64);
+            h.write_u64(0x004c_4159_4552_u64); // "LAYER" marker
+            h.write_u64(layer.layer as u64);
+            h.write_u64(layer.datatype as u64);
             let rects = region.rects();
-            h = fnv_u64(h, rects.len() as u64);
+            h.write_u64(rects.len() as u64);
             for &r in rects {
-                h = fnv_rect(h, r);
+                rect(&mut h, r);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -387,23 +392,6 @@ impl CellId {
     pub fn index(self) -> usize {
         self.0
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn fnv_rect(mut h: u64, r: Rect) -> u64 {
-    for c in [r.x0, r.y0, r.x1, r.y1] {
-        h = fnv_u64(h, c as u64);
-    }
-    h
 }
 
 /// Local-frame bounding box of each cell's fully expanded subtree.

@@ -1,6 +1,7 @@
 //! Topological pattern encoding with D4 canonicalisation.
 
 use dfm_geom::{Coord, Point, Rect, Region};
+use dfm_rand::Fnv1a;
 use std::fmt;
 
 /// A multi-layer topological pattern: an edge-alignment cell bitmap plus
@@ -256,21 +257,11 @@ impl TopoPattern {
     pub fn topology_digest(&self) -> u64 {
         // FNV-1a over the canonical variant's shape and cells.
         let c = self.canonical();
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        for b in (c.nx as u32).to_le_bytes() {
-            eat(b);
-        }
-        for b in (c.ny as u32).to_le_bytes() {
-            eat(b);
-        }
-        for &b in &c.cells {
-            eat(b);
-        }
-        h
+        let mut h = Fnv1a::new();
+        h.write(&(c.nx as u32).to_le_bytes());
+        h.write(&(c.ny as u32).to_le_bytes());
+        h.write(&c.cells);
+        h.finish()
     }
 }
 

@@ -245,9 +245,79 @@ impl UniformSample for f64 {
     }
 }
 
+/// FNV-1a 64 over a byte slice — the workspace's one content digest
+/// (checksums, cache keys, golden pins, fault-decision mixing).
+#[inline]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a_64`]: feeding bytes in any split gives the same
+/// digest as one call over their concatenation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl Fnv1a {
+    /// A fresh digest at the FNV-1a 64 offset basis.
+    #[inline]
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Mixes in `bytes`, in order.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Mixes in `v` as its 8 little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The digest of everything written so far.
+    #[inline]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a_stream_equals_one_shot() {
+        let data: Vec<u8> = (0u16..300).map(|i| (i * 7 % 256) as u8).collect();
+        for split in [0, 1, 8, 150, 299, 300] {
+            let mut h = Fnv1a::default();
+            h.write(&data[..split]);
+            h.write(&data[split..]);
+            assert_eq!(h.finish(), fnv1a_64(&data), "split at {split}");
+        }
+        let mut h = Fnv1a::new();
+        h.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(h.finish(), fnv1a_64(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
 
     /// Golden pinning: the exact first outputs for seed 1. Any change
     /// to seeding or the core breaks bit-reproducibility of every

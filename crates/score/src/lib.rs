@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 use dfm_bench::json::JsonValue;
+use dfm_rand::fnv1a_64;
 use std::collections::BTreeMap;
 
 /// Process exit code: score met the pass threshold and every floor.
@@ -522,17 +523,6 @@ pub fn score(metrics: &[(String, f64)], spec: &ScoreSpec) -> ScoreReport {
         pass_threshold: spec.pass_threshold,
         metrics: rows,
     }
-}
-
-/// FNV-1a 64-bit hash (the workspace's standard digest).
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -10,27 +10,29 @@
 //!   tile-<i>.bin  — one TilePartial (see below)
 //! ```
 //!
-//! Tile files are fixed-width little-endian: a `DFMS` magic + format
-//! version header, the tile index, the encoded partial, and a trailing
-//! FNV-1a 64 checksum over everything before it. Writes go through a
-//! temp file + rename so a crash mid-write leaves either the old state
-//! or nothing; readers treat any malformed or checksum-failing file as
-//! absent (the tile is simply recomputed). That makes kill -9 at any
-//! instant safe: the resumed job loads the surviving tile set and
-//! recomputes exactly the rest.
+//! A tile file is a [`dfm_cache::durable`] sealed frame with magic
+//! `DFMS`, version 2, and a fixed-width little-endian body: the tile
+//! index, then the encoded partial. Every file here — tiles, spec.json
+//! and layout.gds — goes through the durable staged write (temp file +
+//! sync + rename), so a crash mid-write leaves either the old state or
+//! nothing; readers treat any file with a broken seal as absent (the
+//! tile is simply recomputed). That makes kill -9 at any instant safe:
+//! the resumed job loads the surviving tile set and recomputes exactly
+//! the rest.
+//! Tile files of an earlier version do not unseal, so their tiles are
+//! recomputed once.
 
-use crate::codec::fnv1a_64;
 use crate::job::TilePartial;
+use dfm_cache::durable::{self, StoreStage};
 use dfm_drc::{AreaPiece, PairFragment, RulePartial, Violation};
 use dfm_fault::FaultPlane;
 use dfm_geom::Rect;
 use dfm_yield::critical_area::CaTilePartial;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DFMS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Crash site: spec.json durable, layout.gds not yet written.
 pub const SITE_SUBMIT_SPEC: &str = "signoff.ckpt.submit.spec";
@@ -85,13 +87,15 @@ impl JobDir {
         key: u64,
     ) -> Result<(), String> {
         fs::create_dir_all(&self.root).map_err(|e| format!("create {:?}: {e}", self.root))?;
-        write_atomic(&self.root.join("spec.json"), spec_json.as_bytes())?;
-        if plane.is_some_and(|p| p.crash_point(SITE_SUBMIT_SPEC, key, 0)) {
-            return Err(format!("injected crash at {SITE_SUBMIT_SPEC} (job {key})"));
-        }
-        write_atomic(&self.root.join("layout.gds"), gds)?;
-        if plane.is_some_and(|p| p.crash_point(SITE_SUBMIT_GDS, key, 0)) {
-            return Err(format!("injected crash at {SITE_SUBMIT_GDS} (job {key})"));
+        let files = [
+            ("spec.json", spec_json.as_bytes(), SITE_SUBMIT_SPEC),
+            ("layout.gds", gds, SITE_SUBMIT_GDS),
+        ];
+        for (name, bytes, site) in files {
+            durable::write_staged(&self.root.join(name), bytes, |stage| match stage {
+                StoreStage::Tmp => Ok(()),
+                StoreStage::Rename => crash_at(plane, site, "job", key, 0),
+            })?;
         }
         Ok(())
     }
@@ -136,28 +140,20 @@ impl JobDir {
         attempt: u64,
     ) -> Result<(), String> {
         let path = self.root.join(format!("tile-{}.bin", partial.tile));
-        let bytes = encode_tile_partial(partial);
-        let tile = partial.tile as u64;
-        let tmp = path.with_extension("tmp");
-        let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
-        f.write_all(&bytes).map_err(|e| format!("write {tmp:?}: {e}"))?;
-        f.sync_all().map_err(|e| format!("sync {tmp:?}: {e}"))?;
-        drop(f);
-        if plane.is_some_and(|p| p.crash_point(SITE_TILE_TMP, tile, attempt)) {
-            return Err(format!("injected crash at {SITE_TILE_TMP} (tile {tile})"));
-        }
-        fs::rename(&tmp, &path).map_err(|e| format!("rename {tmp:?}: {e}"))?;
-        if plane.is_some_and(|p| p.crash_point(SITE_TILE_RENAME, tile, attempt)) {
-            return Err(format!("injected crash at {SITE_TILE_RENAME} (tile {tile})"));
-        }
-        Ok(())
+        durable::write_staged(&path, &encode_tile_partial(partial), |stage| {
+            let site = match stage {
+                StoreStage::Tmp => SITE_TILE_TMP,
+                StoreStage::Rename => SITE_TILE_RENAME,
+            };
+            crash_at(plane, site, "tile", partial.tile as u64, attempt)
+        })
     }
 
     /// Removes orphaned `*.tmp` files a crash between tmp-write and
     /// rename may have left behind. Returns how many were swept. Call
     /// on open/resume, never while tile writers are active.
     pub fn sweep_tmp(&self) -> usize {
-        sweep_tmp_files(&self.root)
+        durable::sweep_tmp(&self.root)
     }
 
     /// Loads every tile partial that survives validation, sorted by
@@ -168,7 +164,7 @@ impl JobDir {
         for tile in 0..tile_count {
             let path = self.root.join(format!("tile-{tile}.bin"));
             let Ok(bytes) = fs::read(&path) else { continue };
-            if let Some(p) = decode_tile_file(&bytes, tile) {
+            if let Some(p) = decode_tile_partial(&bytes, tile) {
                 out.push(p);
             }
         }
@@ -181,27 +177,44 @@ impl JobDir {
     }
 }
 
-/// Serialises a [`TilePartial`] to the same framed bytes a checkpoint
-/// tile file holds (magic, version, tile index, body, trailing
-/// checksum) — the payload the tile-result cache stores. Decode with
-/// [`decode_tile_partial`].
+/// Serialises a [`TilePartial`] to the sealed frame a checkpoint tile
+/// file holds — also the payload the tile-result cache stores. Decode
+/// with [`decode_tile_partial`].
 pub fn encode_tile_partial(partial: &TilePartial) -> Vec<u8> {
-    let mut enc = Enc::default();
-    enc.bytes_raw(MAGIC);
-    enc.u32(VERSION);
-    enc.u64(partial.tile as u64);
+    let mut enc = Enc { buf: durable::frame(MAGIC, VERSION, 256) };
+    enc.usize(partial.tile);
     encode_partial(&mut enc, partial);
-    let checksum = fnv1a_64(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
+    durable::seal(enc.buf)
 }
 
 /// Validates and decodes bytes produced by [`encode_tile_partial`].
-/// `None` on any defect — truncation, bad checksum, version or tile
-/// mismatch, trailing garbage — never an error or a panic: the caller
-/// treats it as a cache miss and recomputes.
+/// `None` on any defect — a broken seal, a tile mismatch, trailing
+/// garbage — never an error or a panic: the caller treats it as a
+/// cache miss and recomputes.
 pub fn decode_tile_partial(bytes: &[u8], expect_tile: usize) -> Option<TilePartial> {
-    decode_tile_file(bytes, expect_tile)
+    let mut dec = Dec { buf: durable::unseal(bytes, MAGIC, VERSION)?, pos: 0 };
+    let tile = dec.usize()?;
+    if tile != expect_tile {
+        return None;
+    }
+    let partial = decode_partial(&mut dec, tile)?;
+    (dec.pos == dec.buf.len()).then_some(partial)
+}
+
+/// `Err` naming `site` when `plane` kills the operation there.
+fn crash_at(
+    plane: Option<&FaultPlane>,
+    site: &str,
+    unit: &str,
+    key: u64,
+    attempt: u64,
+) -> Result<(), String> {
+    match plane {
+        Some(p) if p.crash_point(site, key, attempt) => {
+            Err(format!("injected crash at {site} ({unit} {key})"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Lists job ids that have a checkpoint directory under `root`.
@@ -220,115 +233,31 @@ pub fn list_job_dirs(root: &Path) -> Vec<u64> {
     ids
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
-    f.write_all(bytes).map_err(|e| format!("write {tmp:?}: {e}"))?;
-    f.sync_all().map_err(|e| format!("sync {tmp:?}: {e}"))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| format!("rename {tmp:?}: {e}"))
-}
-
-/// Removes every `*.tmp` file directly under `dir`; returns the count.
-pub(crate) fn sweep_tmp_files(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else { return 0 };
-    let mut swept = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") && fs::remove_file(&path).is_ok() {
-            swept += 1;
-        }
-    }
-    swept
-}
-
-fn decode_tile_file(bytes: &[u8], expect_tile: usize) -> Option<TilePartial> {
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a_64(body) != stored {
-        return None;
-    }
-    let mut dec = Dec { buf: body, pos: 0 };
-    if dec.bytes_raw(4)? != MAGIC {
-        return None;
-    }
-    if dec.u32()? != VERSION {
-        return None;
-    }
-    let tile = dec.u64()? as usize;
-    if tile != expect_tile {
-        return None;
-    }
-    let partial = decode_partial(&mut dec, tile)?;
-    if dec.pos != body.len() {
-        return None; // trailing garbage
-    }
-    Some(partial)
-}
-
 // ---------------------------------------------------------------------------
-// TilePartial wire format (fixed-width LE throughout; f64 via to_bits).
+// TilePartial wire format (fixed-width LE throughout). A sequence is a
+// u64 count then its items; an option is a 0/1 tag then its value. The
+// decoders build struct literals and tuples whose fields are evaluated
+// in source order, so that order must match the encoder's.
 // ---------------------------------------------------------------------------
 
 fn encode_partial(enc: &mut Enc, p: &TilePartial) {
-    enc.u64(p.rects_peak as u64);
-    enc.u64(p.drc.len() as u64);
-    for rp in &p.drc {
-        encode_rule_partial(enc, rp);
-    }
-    match &p.ca {
-        None => enc.u8(0),
-        Some(ca) => {
-            enc.u8(1);
-            encode_frags(enc, &ca.short);
-            encode_frags(enc, &ca.open);
-            enc.u64(ca.rects as u64);
-        }
-    }
-    match &p.litho {
-        None => enc.u8(0),
-        Some(rects) => {
-            enc.u8(1);
-            enc.u64(rects.len() as u64);
-            for r in rects {
-                enc.rect(r);
-            }
-        }
-    }
+    enc.usize(p.rects_peak);
+    enc.seq(&p.drc, encode_rule_partial);
+    enc.opt(p.ca.as_ref(), |enc, ca| {
+        encode_frags(enc, &ca.short);
+        encode_frags(enc, &ca.open);
+        enc.usize(ca.rects);
+    });
+    enc.opt(p.litho.as_ref(), |enc, rects| enc.seq(rects, Enc::rect));
 }
 
 fn decode_partial(dec: &mut Dec<'_>, tile: usize) -> Option<TilePartial> {
-    let rects_peak = dec.u64()? as usize;
-    let rule_count = dec.len()?;
-    let mut drc = Vec::with_capacity(rule_count);
-    for _ in 0..rule_count {
-        drc.push(decode_rule_partial(dec)?);
-    }
-    let ca = match dec.u8()? {
-        0 => None,
-        1 => {
-            let short = decode_frags(dec)?;
-            let open = decode_frags(dec)?;
-            let rects = dec.u64()? as usize;
-            Some(CaTilePartial { short, open, rects })
-        }
-        _ => return None,
-    };
-    let litho = match dec.u8()? {
-        0 => None,
-        1 => {
-            let n = dec.len()?;
-            let mut rects = Vec::with_capacity(n);
-            for _ in 0..n {
-                rects.push(dec.rect()?);
-            }
-            Some(rects)
-        }
-        _ => return None,
-    };
+    let rects_peak = dec.usize()?;
+    let drc = dec.seq(decode_rule_partial)?;
+    let ca = dec.opt(|dec| {
+        Some(CaTilePartial { short: decode_frags(dec)?, open: decode_frags(dec)?, rects: dec.usize()? })
+    })?;
+    let litho = dec.opt(|dec| dec.seq(Dec::rect))?;
     Some(TilePartial { tile, drc, ca, litho, rects_peak })
 }
 
@@ -337,187 +266,113 @@ fn encode_rule_partial(enc: &mut Enc, rp: &RulePartial) {
         RulePartial::Fragments { frags, rects } => {
             enc.u8(0);
             encode_frags(enc, frags);
-            enc.u64(*rects as u64);
+            enc.usize(*rects);
         }
         RulePartial::Spacing { frags, corners, rects } => {
             enc.u8(1);
             encode_frags(enc, frags);
-            enc.u64(corners.len() as u64);
-            for (r, d) in corners {
+            enc.seq(corners, |enc, (r, d)| {
                 enc.rect(r);
                 enc.i64(*d);
-            }
-            enc.u64(*rects as u64);
+            });
+            enc.usize(*rects);
         }
         RulePartial::Area { complete, pieces, rects } => {
             enc.u8(2);
-            enc.u64(complete.len() as u64);
-            for (bbox, area) in complete {
+            enc.seq(complete, |enc, (bbox, area)| {
                 enc.rect(bbox);
                 enc.i128(*area);
-            }
-            enc.u64(pieces.len() as u64);
-            for piece in pieces {
+            });
+            enc.seq(pieces, |enc, piece| {
                 enc.i128(piece.area);
                 enc.rect(&piece.bbox);
-                enc.u64(piece.seam_rects.len() as u64);
-                for r in &piece.seam_rects {
-                    enc.rect(r);
-                }
-            }
-            enc.u64(*rects as u64);
+                enc.seq(&piece.seam_rects, Enc::rect);
+            });
+            enc.usize(*rects);
         }
         RulePartial::Density { partials, rects } => {
             enc.u8(3);
-            enc.u64(partials.len() as u64);
-            for (window, area) in partials {
-                enc.u64(*window as u64);
+            enc.seq(partials, |enc, (window, area)| {
+                enc.usize(*window);
                 enc.i128(*area);
-            }
-            enc.u64(*rects as u64);
+            });
+            enc.usize(*rects);
         }
         RulePartial::Certified { violations, rects, refused } => {
             enc.u8(4);
-            enc.u64(violations.len() as u64);
-            for v in violations {
+            enc.seq(violations, |enc, v| {
                 enc.str(&v.rule);
                 enc.rect(&v.location);
                 enc.i64(v.actual);
                 enc.i64(v.limit);
-            }
-            enc.u64(*rects as u64);
-            match refused {
-                None => enc.u8(0),
-                Some(t) => {
-                    enc.u8(1);
-                    enc.u64(*t as u64);
-                }
-            }
+            });
+            enc.usize(*rects);
+            enc.opt(refused.as_ref(), |enc, t| enc.usize(*t));
         }
     }
 }
 
 fn decode_rule_partial(dec: &mut Dec<'_>) -> Option<RulePartial> {
-    match dec.u8()? {
-        0 => {
-            let frags = decode_frags(dec)?;
-            let rects = dec.u64()? as usize;
-            Some(RulePartial::Fragments { frags, rects })
-        }
-        1 => {
-            let frags = decode_frags(dec)?;
-            let n = dec.len()?;
-            let mut corners = Vec::with_capacity(n);
-            for _ in 0..n {
-                let r = dec.rect()?;
-                let d = dec.i64()?;
-                corners.push((r, d));
-            }
-            let rects = dec.u64()? as usize;
-            Some(RulePartial::Spacing { frags, corners, rects })
-        }
-        2 => {
-            let n = dec.len()?;
-            let mut complete = Vec::with_capacity(n);
-            for _ in 0..n {
-                let bbox = dec.rect()?;
-                let area = dec.i128()?;
-                complete.push((bbox, area));
-            }
-            let n = dec.len()?;
-            let mut pieces = Vec::with_capacity(n);
-            for _ in 0..n {
-                let area = dec.i128()?;
-                let bbox = dec.rect()?;
-                let m = dec.len()?;
-                let mut seam_rects = Vec::with_capacity(m);
-                for _ in 0..m {
-                    seam_rects.push(dec.rect()?);
-                }
-                pieces.push(AreaPiece { area, bbox, seam_rects });
-            }
-            let rects = dec.u64()? as usize;
-            Some(RulePartial::Area { complete, pieces, rects })
-        }
-        3 => {
-            let n = dec.len()?;
-            let mut partials = Vec::with_capacity(n);
-            for _ in 0..n {
-                let window = dec.u64()? as usize;
-                let area = dec.i128()?;
-                partials.push((window, area));
-            }
-            let rects = dec.u64()? as usize;
-            Some(RulePartial::Density { partials, rects })
-        }
-        4 => {
-            let n = dec.len()?;
-            let mut violations = Vec::with_capacity(n);
-            for _ in 0..n {
-                let rule = dec.str()?;
-                let location = dec.rect()?;
-                let actual = dec.i64()?;
-                let limit = dec.i64()?;
-                violations.push(Violation { rule, location, actual, limit });
-            }
-            let rects = dec.u64()? as usize;
-            let refused = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()? as usize),
-                _ => return None,
-            };
-            Some(RulePartial::Certified { violations, rects, refused })
-        }
-        _ => None,
-    }
+    Some(match dec.u8()? {
+        0 => RulePartial::Fragments { frags: decode_frags(dec)?, rects: dec.usize()? },
+        1 => RulePartial::Spacing {
+            frags: decode_frags(dec)?,
+            corners: dec.seq(|dec| Some((dec.rect()?, dec.i64()?)))?,
+            rects: dec.usize()?,
+        },
+        2 => RulePartial::Area {
+            complete: dec.seq(|dec| Some((dec.rect()?, dec.i128()?)))?,
+            pieces: dec.seq(|dec| {
+                Some(AreaPiece { area: dec.i128()?, bbox: dec.rect()?, seam_rects: dec.seq(Dec::rect)? })
+            })?,
+            rects: dec.usize()?,
+        },
+        3 => RulePartial::Density {
+            partials: dec.seq(|dec| Some((dec.usize()?, dec.i128()?)))?,
+            rects: dec.usize()?,
+        },
+        4 => RulePartial::Certified {
+            violations: dec.seq(|dec| {
+                let (rule, location) = (dec.str()?, dec.rect()?);
+                Some(Violation { rule, location, actual: dec.i64()?, limit: dec.i64()? })
+            })?,
+            rects: dec.usize()?,
+            refused: dec.opt(Dec::usize)?,
+        },
+        _ => return None,
+    })
 }
 
 fn encode_frags(enc: &mut Enc, frags: &[PairFragment]) {
-    enc.u64(frags.len() as u64);
-    for f in frags {
+    enc.seq(frags, |enc, f| {
         enc.u8(f.vertical as u8);
-        enc.i64(f.gap_lo);
-        enc.i64(f.gap_hi);
-        enc.i64(f.span_lo);
-        enc.i64(f.span_hi);
-    }
+        for v in [f.gap_lo, f.gap_hi, f.span_lo, f.span_hi] {
+            enc.i64(v);
+        }
+    });
 }
 
 fn decode_frags(dec: &mut Dec<'_>) -> Option<Vec<PairFragment>> {
-    let n = dec.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let vertical = match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let gap_lo = dec.i64()?;
-        let gap_hi = dec.i64()?;
-        let span_lo = dec.i64()?;
-        let span_hi = dec.i64()?;
-        out.push(PairFragment { vertical, gap_lo, gap_hi, span_lo, span_hi });
-    }
-    Some(out)
+    dec.seq(|dec| {
+        let vertical = dec.flag()?;
+        let (gap_lo, gap_hi, span_lo, span_hi) = (dec.i64()?, dec.i64()?, dec.i64()?, dec.i64()?);
+        Some(PairFragment { vertical, gap_lo, gap_hi, span_lo, span_hi })
+    })
 }
 
-#[derive(Default)]
 struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
-    fn bytes_raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
     }
     fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -531,8 +386,20 @@ impl Enc {
         }
     }
     fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes_raw(s.as_bytes());
+        self.usize(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for t in items {
+            item(self, t);
+        }
+    }
+    fn opt<T>(&mut self, v: Option<&T>, value: impl FnOnce(&mut Self, &T)) {
+        self.u8(v.is_some() as u8);
+        if let Some(v) = v {
+            value(self, v);
+        }
     }
 }
 
@@ -549,14 +416,13 @@ impl<'a> Dec<'a> {
         Some(out)
     }
     fn u8(&mut self) -> Option<u8> {
-        let b = self.bytes_raw(1)?;
-        Some(b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes_raw(4)?.try_into().ok()?))
+        Some(self.bytes_raw(1)?[0])
     }
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.bytes_raw(8)?.try_into().ok()?))
+    }
+    fn usize(&mut self) -> Option<usize> {
+        Some(self.u64()? as usize)
     }
     fn i64(&mut self) -> Option<i64> {
         Some(i64::from_le_bytes(self.bytes_raw(8)?.try_into().ok()?))
@@ -568,23 +434,38 @@ impl<'a> Dec<'a> {
     /// can never trigger huge allocations.
     fn len(&mut self) -> Option<usize> {
         let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n > remaining {
-            return None;
-        }
-        Some(n as usize)
+        (n <= (self.buf.len() - self.pos) as u64).then_some(n as usize)
     }
     fn rect(&mut self) -> Option<Rect> {
-        let x0 = self.i64()?;
-        let y0 = self.i64()?;
-        let x1 = self.i64()?;
-        let y1 = self.i64()?;
+        let (x0, y0, x1, y1) = (self.i64()?, self.i64()?, self.i64()?, self.i64()?);
         Some(Rect { x0, y0, x1, y1 })
     }
     fn str(&mut self) -> Option<String> {
         let n = self.len()?;
-        let bytes = self.bytes_raw(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        String::from_utf8(self.bytes_raw(n)?.to_vec()).ok()
+    }
+    fn seq<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
+    /// A 0/1 byte; any other value is a defect.
+    fn flag(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+    fn opt<T>(&mut self, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.flag()? {
+            value(self).map(Some)
+        } else {
+            Some(None)
+        }
     }
 }
 

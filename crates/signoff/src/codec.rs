@@ -1,6 +1,5 @@
 //! Wire plumbing: a JSON parser over [`dfm_bench::json::JsonValue`],
-//! bounded line framing, hex payload transport, and the FNV-1a digest
-//! the checkpoint files and report digests share.
+//! bounded line framing, hex payload transport, and the report digest.
 //!
 //! The parser is the read half of the workspace's hand-rolled JSON
 //! story (the write half lives in [`dfm_bench::json`]). It is total:
@@ -314,10 +313,17 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// FNV-1a 64-bit digest — checkpoint checksums and report digests.
-/// (Same algorithm as the test harness's golden digests, restated here
-/// so the runtime crate has no dev-only dependency.)
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+/// The 64-bit digest printed in a report's `drc:` and `litho.printed:`
+/// lines, and the one the cache's spec/deck keys and the coordinator id
+/// are derived from.
+///
+/// This is **not** FNV-1a: it has FNV-1a's shape and offset basis but
+/// multiplies by `0x1000_0000_01b3` instead of the FNV prime
+/// `0x100_0000_01b3`. It is kept bit-for-bit because its output is
+/// part of every rendered report (and so of the golden report digest)
+/// and of every cache key on disk. New digests use FNV-1a
+/// (`dfm_rand::fnv1a_64`).
+pub fn signoff_digest_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -415,9 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a 64 of empty input is the offset basis.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a_64(b"a"), fnv1a_64(b"b"));
+    fn signoff_digest_is_pinned_and_differs_from_fnv1a() {
+        assert_eq!(signoff_digest_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(signoff_digest_64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(dfm_rand::fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -152,7 +152,7 @@ impl JobContext {
             layer(&s.litho_layer),
             s.litho_feature,
         );
-        crate::codec::fnv1a_64(text.as_bytes())
+        crate::codec::signoff_digest_64(text.as_bytes())
     }
 
     /// Digest of the rule deck, over the canonical text rendering of
@@ -165,7 +165,7 @@ impl JobContext {
             text.push_str(&rule.to_string());
             text.push('\n');
         }
-        crate::codec::fnv1a_64(text.as_bytes())
+        crate::codec::signoff_digest_64(text.as_bytes())
     }
 
     /// The conservative tile halo the cache key must cover: the

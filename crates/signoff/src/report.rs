@@ -8,7 +8,7 @@
 //! decimal *and* as its IEEE-754 bit pattern so "close" can never pass
 //! for "equal".
 
-use crate::codec::fnv1a_64;
+use crate::codec::signoff_digest_64;
 use crate::spec::JobSpec;
 use dfm_drc::{DrcEngine, DrcReport, RuleDeck};
 use dfm_geom::{Rect, Region};
@@ -56,7 +56,7 @@ pub struct LithoSummary {
     pub printed_area: i128,
     /// Canonical rect count of the printed region.
     pub rect_count: usize,
-    /// FNV-1a 64 digest over the canonical rect list.
+    /// [`signoff_digest_64`] over the canonical rect list.
     pub digest: u64,
 }
 
@@ -170,7 +170,7 @@ impl SignoffReport {
     }
 }
 
-/// FNV-1a 64 over a rect list's coordinates, in order.
+/// [`signoff_digest_64`] over a rect list's coordinates, in order.
 pub fn digest_rects(rects: &[Rect]) -> u64 {
     let mut bytes = Vec::with_capacity(rects.len() * 32);
     for r in rects {
@@ -178,10 +178,10 @@ pub fn digest_rects(rects: &[Rect]) -> u64 {
             bytes.extend_from_slice(&c.to_le_bytes());
         }
     }
-    fnv1a_64(&bytes)
+    signoff_digest_64(&bytes)
 }
 
-/// FNV-1a 64 over a DRC report's violations (rule name, location,
+/// [`signoff_digest_64`] over a DRC report's violations (rule name, location,
 /// actual, limit), in report order.
 pub fn digest_violations(report: &DrcReport) -> u64 {
     let mut bytes = Vec::new();
@@ -192,7 +192,7 @@ pub fn digest_violations(report: &DrcReport) -> u64 {
             bytes.extend_from_slice(&c.to_le_bytes());
         }
     }
-    fnv1a_64(&bytes)
+    signoff_digest_64(&bytes)
 }
 
 /// Runs the whole job single-shot on the flattened layout — no tiling,

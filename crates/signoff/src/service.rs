@@ -337,66 +337,42 @@ impl SupervisionPolicy {
 }
 
 /// Full construction-time configuration of a [`SignoffService`].
+/// Build one with [`ServiceConfig::builder`]; the builder's methods
+/// document each knob.
 pub struct ServiceConfig {
-    /// Worker-pool threads.
-    pub threads: usize,
-    /// Checkpoint root (None disables persistence).
-    pub ckpt_root: Option<PathBuf>,
-    /// Artificial per-tile delay (test/CI hook).
-    pub tile_delay: Duration,
-    /// Fault-injection plane; `None` (the default) makes every fault
-    /// probe a no-op.
-    pub fault_plane: Option<Arc<FaultPlane>>,
-    /// Retry/quarantine/watchdog policy.
-    pub policy: SupervisionPolicy,
-    /// Content-addressed per-tile result cache; `None` (the default)
-    /// disables caching entirely.
-    pub cache: Option<Arc<TileCache>>,
-    /// Multi-tenant scheduler + admission config. `None` (the
-    /// default) is [`SchedConfig::open`]: every tenant admitted at
-    /// weight 1, no quotas, unbounded grant window — exactly the
-    /// pre-scheduler dispatch behaviour.
-    pub sched: Option<SchedConfig>,
-    /// Shard role: `Some((k, n))` makes this service shard `k` of `n` —
-    /// a `shard.dispatch` frame without explicit ranges runs only the
-    /// deterministic partition [`crate::shard::partition_range`]`(t, n,
-    /// k)` of the job. `None` (the default) still accepts shard frames
-    /// but requires the coordinator to name the ranges.
-    pub shard_of: Option<(u64, u64)>,
-    /// Coordinator role: shard addresses (`host:port`) to fan every
-    /// submitted job out to. Empty (the default) runs jobs locally.
-    pub shards: Vec<String>,
+    threads: usize,
+    ckpt_root: Option<PathBuf>,
+    tile_delay: Duration,
+    fault_plane: Option<Arc<FaultPlane>>,
+    policy: SupervisionPolicy,
+    cache: Option<Arc<TileCache>>,
+    sched: Option<SchedConfig>,
+    shard_of: Option<(u64, u64)>,
+    shards: Vec<String>,
 }
 
 impl ServiceConfig {
-    /// A default config with `threads` workers: no checkpointing, no
-    /// delay, no faults, default policy, open scheduler.
-    pub fn new(threads: usize) -> ServiceConfig {
-        ServiceConfig {
-            threads,
-            ckpt_root: None,
-            tile_delay: Duration::ZERO,
-            fault_plane: None,
-            policy: SupervisionPolicy::default(),
-            cache: None,
-            sched: None,
-            shard_of: None,
-            shards: Vec::new(),
-        }
-    }
-
-    /// Fluent construction — the front door for anything beyond
-    /// `ServiceConfig::new(threads)` field updates.
+    /// The only way to configure a service. Every knob defaults to off:
+    /// one worker, no checkpointing, no delay, no faults, default
+    /// policy, no cache, open scheduler, no shard role.
     pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder { cfg: ServiceConfig::new(1) }
+        ServiceConfigBuilder {
+            cfg: ServiceConfig {
+                threads: 1,
+                ckpt_root: None,
+                tile_delay: Duration::ZERO,
+                fault_plane: None,
+                policy: SupervisionPolicy::default(),
+                cache: None,
+                sched: None,
+                shard_of: None,
+                shards: Vec::new(),
+            },
+        }
     }
 }
 
 /// Builder for [`ServiceConfig`] (see [`ServiceConfig::builder`]).
-///
-/// Replaces positional/struct-literal construction at call sites that
-/// set more than a field or two; every knob defaults to
-/// `ServiceConfig::new(1)`.
 pub struct ServiceConfigBuilder {
     cfg: ServiceConfig,
 }
@@ -409,7 +385,9 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Checkpoint root directory (enables persistence).
+    /// Checkpoint root directory (enables persistence). Job
+    /// directories an earlier process left there load back as
+    /// [`JobState::Partial`], ready for [`SignoffService::resume`].
     #[must_use]
     pub fn ckpt_root(mut self, root: impl Into<PathBuf>) -> Self {
         self.cfg.ckpt_root = Some(root.into());
@@ -423,10 +401,11 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Arm a fault-injection plane.
+    /// Arm a fault-injection plane (without one every fault probe is
+    /// a no-op).
     #[must_use]
-    pub fn fault_plane(mut self, plane: Arc<FaultPlane>) -> Self {
-        self.cfg.fault_plane = Some(plane);
+    pub fn fault_plane(mut self, plane: impl Into<Option<Arc<FaultPlane>>>) -> Self {
+        self.cfg.fault_plane = plane.into();
         self
     }
 
@@ -437,28 +416,35 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Arm a content-addressed tile-result cache.
+    /// Arm a content-addressed tile-result cache (without one nothing
+    /// is cached).
     #[must_use]
-    pub fn cache(mut self, cache: Arc<TileCache>) -> Self {
-        self.cfg.cache = Some(cache);
+    pub fn cache(mut self, cache: impl Into<Option<Arc<TileCache>>>) -> Self {
+        self.cfg.cache = cache.into();
         self
     }
 
-    /// Tenant plan: fair-share weights, quotas, grant window.
+    /// Tenant plan: fair-share weights, quotas, grant window. Without
+    /// one the scheduler is [`SchedConfig::open`]: every tenant
+    /// admitted at weight 1, no quotas, unbounded grant window.
     #[must_use]
     pub fn sched(mut self, sched: SchedConfig) -> Self {
         self.cfg.sched = Some(sched);
         self
     }
 
-    /// Shard role: own partition `k` of `n` for dispatched jobs.
+    /// Shard role: own partition `k` of `n` for dispatched jobs — a
+    /// `shard.dispatch` frame without explicit ranges runs only
+    /// [`crate::shard::partition_range`]`(t, n, k)` of the job. Without
+    /// it, shard frames are still accepted but must name the ranges.
     #[must_use]
     pub fn shard_of(mut self, k: u64, n: u64) -> Self {
         self.cfg.shard_of = Some((k, n));
         self
     }
 
-    /// Coordinator role: fan submitted jobs out to these shards.
+    /// Coordinator role: fan submitted jobs out to these shards
+    /// (`host:port`). Without them jobs run locally.
     #[must_use]
     pub fn shards(mut self, addrs: Vec<String>) -> Self {
         self.cfg.shards = addrs;
@@ -733,22 +719,12 @@ pub struct SignoffService {
 }
 
 impl SignoffService {
-    /// Creates a service with `threads` pool workers and an optional
-    /// checkpoint root. When the root already holds job directories
-    /// from an earlier process, they are loaded back in state
+    /// Creates a service from a [`ServiceConfig`] — the only
+    /// constructor. Build the config with [`ServiceConfig::builder`].
+    /// When its checkpoint root already holds job directories from an
+    /// earlier process, they are loaded back in state
     /// [`JobState::Partial`] with their surviving tile set, ready for
     /// [`SignoffService::resume`].
-    pub fn new(threads: usize, ckpt_root: Option<PathBuf>) -> SignoffService {
-        let tile_delay = std::env::var(TILE_DELAY_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map_or(Duration::ZERO, Duration::from_millis);
-        SignoffService::with_config(ServiceConfig { ckpt_root, tile_delay, ..ServiceConfig::new(threads) })
-    }
-
-    /// Creates a service from a full [`ServiceConfig`] — the only
-    /// constructor that can arm a fault plane, a tenant plan, or a
-    /// non-default policy. Build one with [`ServiceConfig::builder`].
     pub fn with_config(cfg: ServiceConfig) -> SignoffService {
         let pool = Arc::new(WorkerPool::with_fault_plane(cfg.threads, cfg.fault_plane.clone()));
         let sched_cfg = cfg.sched.unwrap_or_else(SchedConfig::open);
@@ -761,7 +737,7 @@ impl SignoffService {
         // Masked to 53 bits: coordinator ids ride JSON numbers, which
         // are f64 on the wire and must round-trip exactly.
         let coord_id = match &cfg.ckpt_root {
-            Some(root) => crate::codec::fnv1a_64(root.to_string_lossy().as_bytes()),
+            Some(root) => crate::codec::signoff_digest_64(root.to_string_lossy().as_bytes()),
             None => {
                 let nanos = std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -769,7 +745,7 @@ impl SignoffService {
                 let mut seed = Vec::with_capacity(16);
                 seed.extend_from_slice(&u64::from(std::process::id()).to_le_bytes());
                 seed.extend_from_slice(&nanos.to_le_bytes());
-                crate::codec::fnv1a_64(&seed)
+                crate::codec::signoff_digest_64(&seed)
             }
         } & ((1u64 << 53) - 1);
         let shared = Arc::new(RunShared {
@@ -1694,21 +1670,14 @@ fn cache_store(
             return CacheOutcome::None;
         }
     }
-    let crash = shared.plane.as_ref().map(|plane| {
-        let plane = Arc::clone(plane);
-        move |stage: StoreStage| match stage {
-            StoreStage::Tmp => plane.crash_point(SITE_CACHE_STORE_TMP, tile as u64, 0),
-            StoreStage::Rename => {
-                plane.crash_point(SITE_CACHE_STORE_RENAME, tile as u64, 0)
-            }
-        }
-    });
-    let stored = cache.store_staged(
-        ctx.cache_key(tile),
-        &encode_tile_partial(partial),
-        crash.as_ref().map(|c| c as &dyn Fn(StoreStage) -> bool),
-    );
-    if stored {
+    let crash = |stage| {
+        let site = match stage {
+            StoreStage::Tmp => SITE_CACHE_STORE_TMP,
+            StoreStage::Rename => SITE_CACHE_STORE_RENAME,
+        };
+        shared.plane.as_ref().is_some_and(|plane| plane.crash_point(site, tile as u64, 0))
+    };
+    if cache.store_staged(ctx.cache_key(tile), &encode_tile_partial(partial), crash) {
         CacheOutcome::Stored
     } else {
         CacheOutcome::None
@@ -2071,10 +2040,12 @@ mod tests {
     }
 
     fn faulty_service(threads: usize, plan: FaultPlan) -> SignoffService {
-        SignoffService::with_config(ServiceConfig {
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(threads)
-        })
+        SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(threads)
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        )
     }
 
     #[test]
@@ -2084,7 +2055,9 @@ mod tests {
         let flat =
             flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
         for threads in [1usize, 2, 8] {
-            let service = SignoffService::new(threads, None);
+            let service = SignoffService::with_config(
+                ServiceConfig::builder().threads(threads).build(),
+            );
             let id = service.submit(spec.clone(), gds.clone()).expect("submit");
             let status = service.wait(id).expect("wait");
             assert_eq!(status.state, JobState::Done, "threads={threads}: {:?}", status.error);
@@ -2096,7 +2069,7 @@ mod tests {
 
     #[test]
     fn events_are_gapless_and_monotonic() {
-        let service = SignoffService::new(4, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(4).build());
         let id = service.submit(spec(), small_gds(32)).expect("submit");
         service.wait(id).expect("wait");
         let events = service.events(id, 0).expect("events");
@@ -2113,7 +2086,7 @@ mod tests {
 
     #[test]
     fn bad_submissions_are_rejected_with_diagnostics() {
-        let service = SignoffService::new(1, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(1).build());
         let err = service.submit(spec(), b"garbage".to_vec()).expect_err("bad gds");
         assert!(err.contains("layout rejected"), "{err}");
         let err = service
@@ -2147,7 +2120,7 @@ mod tests {
 
     #[test]
     fn partial_results_cover_the_completed_prefix() {
-        let service = SignoffService::new(2, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(2).build());
         let id = service.submit(spec(), small_gds(35)).expect("submit");
         service.wait(id).expect("wait");
         // Done job: partial=true must agree with the final report.
@@ -2236,11 +2209,13 @@ mod tests {
         // tile must still complete from memory and the job finish Done.
         let plan = FaultPlan::seeded(3)
             .with_rule(FaultRule::new(SITE_CKPT_WRITE, FaultAction::Error).key(2));
-        let service = SignoffService::with_config(ServiceConfig {
-            ckpt_root: Some(root.clone()),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .ckpt_root(root.clone())
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2270,10 +2245,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         let with_cache = |threads| {
-            SignoffService::with_config(ServiceConfig {
-                cache: Some(Arc::clone(&cache)),
-                ..ServiceConfig::new(threads)
-            })
+            SignoffService::with_config(
+                ServiceConfig::builder().threads(threads).cache(Arc::clone(&cache)).build(),
+            )
         };
         // Cold: every tile computes and stores; nothing hits.
         let cold = with_cache(2);
@@ -2325,10 +2299,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         // Prime the cache cleanly.
-        let cold = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            ..ServiceConfig::new(2)
-        });
+        let cold = SignoffService::with_config(
+            ServiceConfig::builder().threads(2).cache(Arc::clone(&cache)).build(),
+        );
         let id = cold.submit(spec.clone(), gds.clone()).expect("submit");
         cold.wait(id).expect("wait");
         drop(cold);
@@ -2336,11 +2309,13 @@ mod tests {
         // re-stores), everything else hits, bytes unchanged.
         let plan = FaultPlan::seeded(6)
             .with_rule(FaultRule::new(SITE_CACHE_READ, FaultAction::Error).key(1));
-        let warm = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let warm = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = warm.submit(spec.clone(), gds).expect("submit");
         let status = warm.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2373,11 +2348,13 @@ mod tests {
         let plan = FaultPlan::seeded(7).with_rule(
             FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic).key(2).first_attempts(1),
         );
-        let service = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2398,7 +2375,7 @@ mod tests {
         let spec = JobSpec { score: Some("default".to_string()), ..spec() };
         let (_, flat) =
             crate::scoring::flat_score(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat");
-        let service = SignoffService::new(2, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(2).build());
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2428,7 +2405,7 @@ mod tests {
 
     #[test]
     fn unscored_job_has_no_score() {
-        let service = SignoffService::new(2, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(2).build());
         let id = service.submit(spec(), small_gds(35)).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);

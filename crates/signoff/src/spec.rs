@@ -260,10 +260,12 @@ impl JobSpec {
     }
 }
 
-/// Reads an exactly-integral JSON number.
+/// Reads an exactly-integral JSON number: JSON numbers are f64, which
+/// hold every integer of magnitude below 2^53 exactly (coordinator ids
+/// are masked to 53 bits for this reason).
 pub(crate) fn json_i64(v: &JsonValue, what: &str) -> Result<i64, String> {
     let n = v.as_f64().ok_or_else(|| format!("{what} must be a number"))?;
-    if n.fract() != 0.0 || n.abs() > 9e15 {
+    if n.fract() != 0.0 || n.abs() >= (1u64 << 53) as f64 {
         return Err(format!("{what} must be an integer, got {n}"));
     }
     Ok(n as i64)
@@ -288,6 +290,15 @@ fn parse_layer(v: &JsonValue, what: &str) -> Result<Option<Layer>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_integers_are_exact_up_to_53_bits() {
+        let max = (1u64 << 53) - 1;
+        assert_eq!(json_i64(&JsonValue::Num(max as f64), "n"), Ok(max as i64));
+        assert_eq!(json_i64(&JsonValue::Num(-(max as f64)), "n"), Ok(-(max as i64)));
+        assert!(json_i64(&JsonValue::Num((1u64 << 53) as f64), "n").is_err());
+        assert!(json_i64(&JsonValue::Num(1.5), "n").is_err());
+    }
 
     #[test]
     fn spec_round_trips_through_json() {

@@ -56,7 +56,7 @@ fn with_retry<T>(addr: SocketAddr, mut f: impl FnMut(&mut Client) -> Result<T, S
 /// parses as neither is answered in the last dialect spoken.
 #[test]
 fn mixed_dialect_connection_answers_each_request_in_kind() {
-    let service = Arc::new(SignoffService::with_config(ServiceConfig::new(1)));
+    let service = Arc::new(SignoffService::with_config(ServiceConfig::builder().build()));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
     std::thread::spawn(move || {
@@ -123,10 +123,9 @@ fn server_survives_injected_drops_and_vanishing_clients() {
     // frames alike.
     let plan = FaultPlan::seeded(17)
         .with_rule(FaultRule::new(SITE_SERVER_WRITE, FaultAction::Drop).prob(0.4));
-    let service = Arc::new(SignoffService::with_config(ServiceConfig {
-        fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-        ..ServiceConfig::new(2)
-    }));
+    let service = Arc::new(SignoffService::with_config(
+        ServiceConfig::builder().threads(2).fault_plane(Arc::new(FaultPlane::new(plan))).build(),
+    ));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().expect("serve"));

@@ -46,7 +46,9 @@ fn wire_round_trip_matches_the_flat_report() {
     let spec = spec();
     let flat = flat_text(&spec, &gds_bytes);
 
-    let (addr, handle) = start_server(SignoffService::new(4, None));
+    let (addr, handle) = start_server(SignoffService::with_config(
+        ServiceConfig::builder().threads(4).build(),
+    ));
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     client.ping().expect("ping");
 
@@ -146,7 +148,9 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
 
     // Second life: a fresh process loads the job from disk as Partial
     // and resume() recomputes exactly the missing tiles.
-    let service = SignoffService::new(4, Some(root.clone()));
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+    );
     let status = service.status(job).expect("persisted job is visible");
     assert_eq!(status.state, JobState::Partial);
     service.resume(job).expect("resume");
@@ -233,7 +237,9 @@ fn v1_clients_still_work_and_v2_rejections_are_structured() {
 #[test]
 fn hostile_bytes_on_the_socket_never_kill_the_server() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, handle) = start_server(SignoffService::new(1, None));
+    let (addr, handle) = start_server(SignoffService::with_config(
+        ServiceConfig::builder().threads(1).build(),
+    ));
 
     // A parade of malformed frames on one connection: every one must
     // come back as an {"ok":false,...} error, never a hangup.

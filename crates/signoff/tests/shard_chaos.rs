@@ -48,10 +48,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn spawn_shard(k: u64, n: u64, cache: Option<Arc<TileCache>>) -> String {
-    let mut cfg = ServiceConfig::builder().threads(2).shard_of(k, n);
-    if let Some(cache) = cache {
-        cfg = cfg.cache(cache);
-    }
+    let cfg = ServiceConfig::builder().threads(2).shard_of(k, n).cache(cache);
     let service = Arc::new(SignoffService::with_config(cfg.build()));
     let server = Server::bind(service, 0).expect("bind shard");
     let addr = server.local_addr().to_string();
@@ -72,11 +69,13 @@ fn shutdown_all(addrs: &[String]) {
 /// A coordinator over `addrs` whose coordinator↔shard sockets run
 /// under `plan`.
 fn coordinator(addrs: &[String], plan: Option<FaultPlan>) -> SignoffService {
-    let mut cfg = ServiceConfig::builder().threads(2).shards(addrs.to_vec());
-    if let Some(plan) = plan {
-        cfg = cfg.fault_plane(Arc::new(FaultPlane::new(plan)));
-    }
-    SignoffService::with_config(cfg.build())
+    SignoffService::with_config(
+        ServiceConfig::builder()
+            .threads(2)
+            .shards(addrs.to_vec())
+            .fault_plane(plan.map(|plan| Arc::new(FaultPlane::new(plan))))
+            .build(),
+    )
 }
 
 fn run_job(service: &SignoffService) -> (JobState, Vec<JobEvent>, String) {

@@ -257,14 +257,12 @@ impl Stack {
         let shard_plane = shard_plan.map(|p| Arc::new(FaultPlane::new(p)));
         let mut shard_addrs = Vec::new();
         for k in 0..2u64 {
-            let mut cfg = ServiceConfig::builder()
+            let cfg = ServiceConfig::builder()
                 .threads(threads)
                 .shard_of(k, 2)
                 .ckpt_root(root.join(format!("shard-{k}")))
-                .cache(Arc::clone(&cache));
-            if let Some(plane) = &shard_plane {
-                cfg = cfg.fault_plane(Arc::clone(plane));
-            }
+                .cache(Arc::clone(&cache))
+                .fault_plane(shard_plane.clone());
             let service = Arc::new(SignoffService::with_config(cfg.build()));
             let server = Server::bind(service, 0)?;
             shard_addrs.push(server.local_addr().to_string());
@@ -273,13 +271,11 @@ impl Stack {
             });
         }
         let coord_plane = coord_plan.map(|p| Arc::new(FaultPlane::new(p)));
-        let mut cfg = ServiceConfig::builder()
+        let cfg = ServiceConfig::builder()
             .threads(threads)
             .ckpt_root(root.join("coord"))
-            .shards(shard_addrs.clone());
-        if let Some(plane) = &coord_plane {
-            cfg = cfg.fault_plane(Arc::clone(plane));
-        }
+            .shards(shard_addrs.clone())
+            .fault_plane(coord_plane.clone());
         let coord = SignoffService::with_config(cfg.build());
         Ok(Stack { coord, shard_addrs, coord_plane, shard_plane })
     }

@@ -413,7 +413,12 @@ fn serve_with(
                 .map_err(|e| format!("open cache {}: {e}", dir.display()))?,
         )),
     };
-    let mut cfg = ServiceConfig::builder().threads(threads).tile_delay(tile_delay).policy(policy);
+    let mut cfg = ServiceConfig::builder()
+        .threads(threads)
+        .tile_delay(tile_delay)
+        .policy(policy)
+        .fault_plane(fault_plane)
+        .cache(cache);
     if let Some((k, n)) = shard_of {
         cfg = cfg.shard_of(k, n);
     }
@@ -422,12 +427,6 @@ fn serve_with(
     }
     if let Some(root) = ckpt {
         cfg = cfg.ckpt_root(root);
-    }
-    if let Some(plane) = fault_plane {
-        cfg = cfg.fault_plane(plane);
-    }
-    if let Some(cache) = cache {
-        cfg = cfg.cache(cache);
     }
     if let Some(path) = tenants_file {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
@@ -751,11 +750,7 @@ fn local_service(threads: usize, cache_dir: Option<&str>) -> Result<SignoffServi
                 .map_err(|e| format!("open cache {dir}: {e}"))?,
         )),
     };
-    let mut cfg = ServiceConfig::builder().threads(threads);
-    if let Some(cache) = cache {
-        cfg = cfg.cache(cache);
-    }
-    Ok(SignoffService::with_config(cfg.build()))
+    Ok(SignoffService::with_config(ServiceConfig::builder().threads(threads).cache(cache).build()))
 }
 
 /// Submits one job, waits for it to settle, and fetches its score

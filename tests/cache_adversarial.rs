@@ -57,11 +57,13 @@ fn run_once(
     spec: &JobSpec,
     gds_bytes: &[u8],
 ) -> (JobStatus, Option<String>) {
-    let service = SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(cache)),
-        fault_plane: plan.map(|p| Arc::new(FaultPlane::new(p.clone()))),
-        ..ServiceConfig::new(threads)
-    });
+    let service = SignoffService::with_config(
+        ServiceConfig::builder()
+            .threads(threads)
+            .cache(Arc::clone(cache))
+            .fault_plane(plan.map(|p| Arc::new(FaultPlane::new(p.clone()))))
+            .build(),
+    );
     let id = service.submit(spec.clone(), gds_bytes.to_vec()).expect("submit");
     let status = service.wait(id).expect("wait");
     let text = service.report_text(id, true).ok().map(|(_, t)| t);

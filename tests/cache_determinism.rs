@@ -85,11 +85,13 @@ fn service_with(
     cache: &Arc<TileCache>,
     plan: Option<&FaultPlan>,
 ) -> SignoffService {
-    SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(cache)),
-        fault_plane: plan.map(|p| Arc::new(FaultPlane::new(p.clone()))),
-        ..ServiceConfig::new(threads)
-    })
+    SignoffService::with_config(
+        ServiceConfig::builder()
+            .threads(threads)
+            .cache(Arc::clone(cache))
+            .fault_plane(plan.map(|p| Arc::new(FaultPlane::new(p.clone()))))
+            .build(),
+    )
 }
 
 /// One full run against a shared cache: (status, events, report text —

@@ -44,10 +44,12 @@ fn flat_text() -> String {
 }
 
 fn faulty_service(threads: usize, plan: &FaultPlan) -> SignoffService {
-    SignoffService::with_config(ServiceConfig {
-        fault_plane: Some(Arc::new(FaultPlane::new(plan.clone()))),
-        ..ServiceConfig::new(threads)
-    })
+    SignoffService::with_config(
+        ServiceConfig::builder()
+            .threads(threads)
+            .fault_plane(Arc::new(FaultPlane::new(plan.clone())))
+            .build(),
+    )
 }
 
 /// One full run under a plan: (state, events, quarantined tiles,

@@ -41,7 +41,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn service(threads: usize, cache: Option<Arc<TileCache>>) -> SignoffService {
-    SignoffService::with_config(ServiceConfig { cache, ..ServiceConfig::new(threads) })
+    SignoffService::with_config(ServiceConfig::builder().threads(threads).cache(cache).build())
 }
 
 /// Runs one scored job to settlement and returns the score JSON line
@@ -102,6 +102,19 @@ fn score_digest_is_pinned() {
     );
 }
 
+/// The pool's completed-task count once it is idle. `wait` can return
+/// while the last task is still in flight: a worker counts a task
+/// completed only after the task body (which settles the job) returns.
+fn idle_completed(svc: &SignoffService) -> u64 {
+    loop {
+        let stats = svc.pool_stats();
+        if stats.queue_depth == 0 && stats.in_flight == 0 {
+            return stats.completed;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn no_op_auto_fix_recomputes_zero_tiles() {
     let bytes = block_gds(42);
@@ -121,14 +134,14 @@ fn no_op_auto_fix_recomputes_zero_tiles() {
     let svc = service(4, Some(cache));
     let (first, _) = run_scored(&svc, &spec, &bytes);
     assert_eq!(first.tiles_cached, 0);
-    let computed_after_first = svc.pool_stats().completed;
+    let computed_after_first = idle_completed(&svc);
 
     // Resubmitting the fix outcome hits the cache on every tile: zero
     // pool tasks run.
     let (second, second_json) = run_scored(&svc, &spec, &outcome.gds);
     assert_eq!(second.tiles_cached, second.tiles_total);
     assert_eq!(
-        svc.pool_stats().completed,
+        idle_completed(&svc),
         computed_after_first,
         "a no-op fix resubmission must not recompute any tile"
     );

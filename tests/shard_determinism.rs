@@ -53,10 +53,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 /// Starts one shard server on an ephemeral port; returns its address.
 /// The serve loop runs on a detached thread until `shutdown_all`.
 fn spawn_shard(k: u64, n: u64, threads: usize, cache: Option<Arc<TileCache>>) -> String {
-    let mut cfg = ServiceConfig::builder().threads(threads).shard_of(k, n);
-    if let Some(cache) = cache {
-        cfg = cfg.cache(cache);
-    }
+    let cfg = ServiceConfig::builder().threads(threads).shard_of(k, n).cache(cache);
     let service = Arc::new(SignoffService::with_config(cfg.build()));
     let server = Server::bind(service, 0).expect("bind shard");
     let addr = server.local_addr().to_string();
@@ -88,7 +85,9 @@ fn coordinated_run_matches_single_process_at_any_shard_and_worker_count() {
     let flat = flat_text();
     assert_eq!(dfm_check::fnv1a_64(flat.as_bytes()), GOLDEN_REPORT_DIGEST);
     for threads in [1usize, 2, 8] {
-        let baseline = SignoffService::with_config(ServiceConfig::builder().threads(threads).build());
+        let baseline = SignoffService::with_config(
+            ServiceConfig::builder().threads(threads).build(),
+        );
         let (state, base_events, base_text) = run_job(&baseline);
         assert_eq!(state, JobState::Done, "baseline at {threads} workers");
         assert_eq!(base_text, flat, "baseline report bytes at {threads} workers");
