@@ -56,6 +56,20 @@ DFM_THREADS=4 cargo test -q --workspace --offline
 echo "== benches compile (offline) =="
 cargo bench --no-run --offline
 
+echo "== signoff benchmark self-tests (offline) =="
+# The benchmark package is its own workspace and imports the service
+# by name; build and test it here, so a change that breaks one of those
+# names fails CI rather than the benchmark run. It is tested from a copy
+# next to crates/ (its path dependencies and BENCHMARK.json resolve the
+# same way), because its checked-in Cargo.lock predates the dfm-rand
+# edges of dfm-cache and dfm-signoff: --locked would refuse it, and an
+# in-place build would rewrite it. signoff-bench/ stays untouched.
+rm -rf .bench_ci
+mkdir -p .bench_ci
+cp -a signoff-bench/Cargo.toml signoff-bench/Cargo.lock signoff-bench/src .bench_ci/
+CARGO_TARGET_DIR=target/signoff-bench \
+    cargo test --release --offline --manifest-path .bench_ci/Cargo.toml
+
 echo "== tiled signoff bench + gauges (offline) =="
 # Pins the tiled full-deck DRC bench in the JSON report, including the
 # peak-per-tile working-set gauges that back the "never materialises a
@@ -464,6 +478,9 @@ echo "== crash-simulation matrix (offline, deterministic) =="
 # byte-identity to the crash-free golden run. The transcript must be
 # byte-identical across worker counts — determinism under crashes is
 # the same contract as determinism under threads.
+# dfm-sim is a binary of its own crate, which the root build above
+# does not produce.
+cargo build --release --offline -p dfm-sim
 SIM=target/release/dfm-sim
 DFM_THREADS=1 "$SIM" --seed 7 --root "$WORK/sim-t1" >"$WORK/sim-1.txt"
 DFM_THREADS=4 "$SIM" --seed 7 --root "$WORK/sim-t4" >"$WORK/sim-4.txt"

@@ -556,6 +556,8 @@ struct PoolShared {
 /// independent work units (layout tiles) and merge results *by index*
 /// on the consumer side. The pool itself makes no ordering promise
 /// beyond FIFO dispatch; determinism is the caller's ordered merge.
+/// Tasks run with [`thread_count`] pinned to 1, so the parallel
+/// primitives inside a task stay on its worker thread.
 ///
 /// Tasks submitted with [`submit_cancellable`](WorkerPool::submit_cancellable)
 /// are skipped (never run) if their [`CancelToken`] is already
@@ -607,7 +609,10 @@ impl WorkerPool {
         let workers = (0..threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                // The pool is the parallelism: a task's own parallel
+                // regions run on its worker alone, so `threads` tasks
+                // never fan out into `threads × thread_count()` threads.
+                std::thread::spawn(move || with_threads(1, || worker_loop(&shared)))
             })
             .collect();
         WorkerPool { shared, workers }
@@ -969,6 +974,20 @@ mod tests {
     fn workers_inherit_override() {
         let counts = with_threads(4, || par_map_range(8, |_| thread_count()));
         assert!(counts.iter().all(|&c| c == 4), "{counts:?}");
+    }
+
+    #[test]
+    fn pool_tasks_run_single_threaded_under_any_override() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        with_threads(8, || {
+            let pool = WorkerPool::new(2);
+            for _ in 0..4 {
+                let seen = Arc::clone(&seen);
+                pool.submit(move || seen.lock().expect("lock").push(thread_count()));
+            }
+            pool.wait_idle();
+        });
+        assert_eq!(*seen.lock().expect("lock"), vec![1; 4]);
     }
 
     #[test]

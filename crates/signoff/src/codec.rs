@@ -17,7 +17,8 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 /// Maximum JSON nesting depth the parser follows.
 const MAX_DEPTH: usize = 64;
 
-/// Parses one JSON document (object/array/scalar) from `s`.
+/// Parses one JSON document (object/array/scalar) from `s`, in time
+/// linear in its length.
 ///
 /// # Errors
 ///
@@ -112,6 +113,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Take the run of plain bytes up to the next `"`, `\` or
+            // control byte in one slice. A run ends only at an ASCII
+            // byte, which is always a char boundary, so each byte is
+            // validated once and the scan stays linear in the input.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = std::str::from_utf8(&rest[..run]).map_err(|e| {
+                    format!("non-utf8 string at offset {}", start + e.valid_up_to())
+                })?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -139,17 +157,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 scalar (input is &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("non-utf8 string at offset {}", self.pos))?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at offset {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!("raw control character at offset {}", self.pos));
                 }
             }
         }
@@ -362,6 +370,71 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_offsets() {
+        for (bad, msg) in [
+            ("\"ab\u{1}c\"", "raw control character at offset 3"),
+            ("\"é\n\"", "raw control character at offset 3"),
+            ("\"abc", "unterminated string"),
+            ("\"abc\\", "bad escape at offset 5"),
+            ("\"a\\qb\"", "bad escape at offset 3"),
+            ("[\"é\\x\"]", "bad escape at offset 5"),
+        ] {
+            assert_eq!(parse_json(bad), Err(msg.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_32_mb_string_parses_in_linear_time() {
+        // A quadratic scan of this string would take days; the linear
+        // one takes well under a second even in a debug build.
+        let body: String = "0123456789abcdeé".repeat(2 * 1024 * 1024 * 16 / 17);
+        let doc = format!("{{\"gds_hex\":\"{body}\\n\"}}");
+        assert!(doc.len() >= 32 * 1024 * 1024);
+        let started = std::time::Instant::now();
+        let parsed = parse_json(&doc).expect("parse");
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(20), "took {took:?}");
+        let s = parsed.get("gds_hex").and_then(JsonValue::as_str).expect("string");
+        assert_eq!(s.len(), body.len() + 1);
+        assert!(s.starts_with(&body) && s.ends_with('\n'));
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        // Each raw value picks a character class (low 3 bits) and a
+        // code point inside it (the rest), so shrinking stays on the
+        // raw integers.
+        fn to_char(v: u32) -> char {
+            let at = v >> 3;
+            let cp = match v & 7 {
+                // Printable ASCII, then the control characters.
+                0 => 0x20 + at % 0x5f,
+                1 => at % 0x20,
+                // The bytes the writer escapes or may pass through.
+                2 => [0x22, 0x5c, 0x2f, 0x7f][at as usize % 4],
+                // Two-, three- (either side of the surrogates) and
+                // four-byte UTF-8.
+                3 => 0x80 + at % 0x780,
+                4 => 0x800 + at % (0xd800 - 0x800),
+                5 => 0xe000 + at % 0x2000,
+                _ => 0x10000 + at % 0x100000,
+            };
+            char::from_u32(cp).expect("valid scalar")
+        }
+        dfm_check::check(
+            "escaped_strings_round_trip",
+            &dfm_check::Config::with_cases(512),
+            &dfm_check::vec(0u32..u32::MAX, 0..48),
+            |raw| {
+                let s: String = raw.iter().map(|&v| to_char(v)).collect();
+                let back = parse_json(&dfm_bench::json::escape(&s));
+                dfm_check::prop_assert_eq!(back, Ok(JsonValue::Str(s.clone())));
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The TCP front-end: one [`Server`] wraps a [`SignoffService`] and
 //! speaks the line-delimited JSON protocol of [`crate::proto`] on a
 //! loopback listener (`std::net` only — no async runtime, one thread
-//! per connection, which is plenty for a signoff queue's fan-in).
+//! per connection, which is plenty for a signoff queue's fan-in). At
+//! most [`MAX_CONNECTIONS`] connections are served at once.
 
 use crate::codec::{read_frame, MAX_LINE_BYTES};
 use crate::proto::{ErrorObj, Request, Response, PROTO_VERSION};
@@ -9,7 +10,7 @@ use crate::service::{SignoffService, SubmitError};
 use dfm_fault::FaultPlane;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Fault site: a server response write. Keyed by connection id (accept
@@ -19,12 +20,34 @@ use std::sync::Arc;
 /// else.
 pub const SITE_SERVER_WRITE: &str = "server.write";
 
+/// Live connections a server holds at once, each on its own thread. A
+/// connection over the cap is answered with one `busy` error frame and
+/// closed, so a flood of clients cannot spawn unbounded threads.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// A listening signoff server. Bind, then [`Server::serve`] until a
 /// client sends `shutdown`.
 pub struct Server {
     listener: TcpListener,
     service: Arc<SignoffService>,
     shutdown: Arc<AtomicBool>,
+    live: Arc<AtomicUsize>,
+}
+
+/// Counts one served connection for as long as its thread runs.
+struct LiveSlot(Arc<AtomicUsize>);
+
+impl LiveSlot {
+    fn take(live: &Arc<AtomicUsize>) -> LiveSlot {
+        live.fetch_add(1, Ordering::SeqCst);
+        LiveSlot(Arc::clone(live))
+    }
+}
+
+impl Drop for LiveSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl Server {
@@ -37,7 +60,12 @@ impl Server {
     pub fn bind(service: Arc<SignoffService>, port: u16) -> Result<Server, String> {
         let listener = TcpListener::bind(("127.0.0.1", port))
             .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
-        Ok(Server { listener, service, shutdown: Arc::new(AtomicBool::new(false)) })
+        Ok(Server {
+            listener,
+            service,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            live: Arc::new(AtomicUsize::new(0)),
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -52,7 +80,9 @@ impl Server {
 
     /// Accepts and serves connections until a `shutdown` frame
     /// arrives. Each connection gets its own thread; requests on one
-    /// connection are handled in order.
+    /// connection are handled in order. Past [`MAX_CONNECTIONS`] live
+    /// connections a new one gets a single v2 `busy` error frame and is
+    /// closed unread.
     ///
     /// # Errors
     ///
@@ -63,10 +93,24 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = conn.map_err(|e| format!("accept: {e}"))?;
+            let mut stream = conn.map_err(|e| format!("accept: {e}"))?;
+            // Only this loop adds to `live`, so the check cannot race
+            // another increment.
+            if self.live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                let error = ErrorObj {
+                    code: "busy".to_string(),
+                    message: format!("server holds {MAX_CONNECTIONS} connections; retry later"),
+                    retry_after_vms: None,
+                };
+                let busy = Response::Error { error };
+                let _ = write_response(&mut stream, None, conn_id, 0, &busy, PROTO_VERSION);
+                continue;
+            }
+            let slot = LiveSlot::take(&self.live);
             let service = Arc::clone(&self.service);
             let shutdown = Arc::clone(&self.shutdown);
             std::thread::spawn(move || {
+                let _slot = slot;
                 let _ = handle_connection(stream, &service, &shutdown, addr, conn_id);
             });
         }

@@ -486,11 +486,20 @@ enum TileResolution {
 
 struct JobMut {
     spec: JobSpec,
+    /// The submitted GDS, the tiled context built from it, and the
+    /// committed per-tile partials: everything a job needs to compute,
+    /// resume and merge. A job that settles Done or Failed releases all
+    /// three ([`JobMut::release_settled`]); Partial and Cancelled jobs
+    /// keep them for `resume`.
     gds: Vec<u8>,
     ctx: Option<Arc<JobContext>>,
+    partials: BTreeMap<usize, TilePartial>,
+    /// The context's tile count and the committed-tile count, kept so
+    /// a released job's status reads as before.
+    tiles_total: usize,
+    tiles_done: usize,
     state: JobState,
     cancel: CancelToken,
-    partials: BTreeMap<usize, TilePartial>,
     events: Vec<JobEvent>,
     error: Option<String>,
     report: Option<SignoffReport>,
@@ -523,10 +532,12 @@ impl JobMut {
         JobMut {
             spec,
             gds,
+            tiles_total: ctx.as_ref().map_or(0, |c| c.tile_count()),
             ctx,
+            partials: BTreeMap::new(),
+            tiles_done: 0,
             state,
             cancel: CancelToken::new(),
-            partials: BTreeMap::new(),
             events: Vec::new(),
             error: None,
             report: None,
@@ -552,8 +563,14 @@ impl JobMut {
         self.emit(JobEventKind::State(state));
     }
 
-    fn tiles_total(&self) -> usize {
-        self.ctx.as_ref().map_or(0, |c| c.tile_count())
+    /// Drops the context, the GDS and the partials of a job that
+    /// settled Done or Failed: its report, score, events and counters
+    /// are all its readers need from here on. Late writers never touch
+    /// the released state, because they return on `state != Running`.
+    fn release_settled(&mut self) {
+        self.ctx = None;
+        self.gds = Vec::new();
+        self.partials = BTreeMap::new();
     }
 }
 
@@ -613,7 +630,8 @@ fn advance_commits(m: &mut JobMut, total: usize) {
                     });
                 }
                 m.partials.insert(tile, partial);
-                let completed = m.partials.len();
+                m.tiles_done = m.partials.len();
+                let completed = m.tiles_done;
                 m.emit(JobEventKind::TileDone { tile, completed, total });
             }
             TileResolution::Quarantined { attempts, reason } => {
@@ -1234,10 +1252,12 @@ impl SignoffService {
     /// Rebuilds the job context and reloads checkpointed tiles for a
     /// job that was constructed from disk (ctx == None). A tile whose
     /// checkpoint read faults (injected) is skipped — it is simply
-    /// recomputed on resume.
+    /// recomputed on resume. A Done or Failed job released its context
+    /// on purpose and is left as it is: `results` answers from its held
+    /// report, and `resume` refuses it.
     fn ensure_loaded(&self, job: &Arc<Job>) -> Result<(), String> {
         let mut m = job.m.lock().expect("job lock");
-        if m.ctx.is_some() {
+        if m.ctx.is_some() || matches!(m.state, JobState::Done | JobState::Failed) {
             return Ok(());
         }
         let ctx = Arc::new(JobContext::build(&m.spec, &m.gds)?);
@@ -1256,6 +1276,8 @@ impl SignoffService {
                 m.partials.insert(p.tile, p);
             }
         }
+        m.tiles_total = ctx.tile_count();
+        m.tiles_done = m.partials.len();
         m.ctx = Some(ctx);
         Ok(())
     }
@@ -1473,8 +1495,8 @@ fn status_of(job: &Job, m: &JobMut) -> JobStatus {
         tenant: m.spec.tenant.clone(),
         priority: m.spec.priority,
         state: m.state,
-        tiles_total: m.tiles_total(),
-        tiles_done: m.partials.len(),
+        tiles_total: m.tiles_total,
+        tiles_done: m.tiles_done,
         tiles_quarantined: m.quarantined.len(),
         tiles_cached: m.cached.len(),
         next_seq: m.events.len() as u64,
@@ -1852,6 +1874,9 @@ fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<JobContext>) 
             m.set_state(JobState::Failed);
         }
     }
+    if m.state != JobState::Partial {
+        m.release_settled();
+    }
     drop(m);
     // The job settled on this call (the re-check above means exactly
     // one caller gets here): stop counting it against its tenant's
@@ -2065,6 +2090,53 @@ mod tests {
             let (_, report) = service.results(id, false).expect("results");
             assert_eq!(report.render_text(&spec), flat, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_done_job_releases_its_tile_state_and_still_answers_like_flat() {
+        let gds = small_gds(43);
+        let spec = JobSpec { score: Some("default".to_string()), ..spec() };
+        let lib = gds::from_bytes(&gds).expect("lib");
+        let flat = flat_report(&spec, &lib).expect("flat").render_text(&spec);
+        let (_, flat_score) = crate::scoring::flat_score(&spec, &lib).expect("flat score");
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(2).build());
+        let id = service.submit(spec.clone(), gds).expect("submit");
+        let status = service.wait(id).expect("wait");
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        let job = service.job(id).expect("job");
+        {
+            let m = job.m.lock().expect("lock");
+            assert!(m.ctx.is_none(), "context released");
+            assert!(m.gds.is_empty(), "GDS released");
+            assert!(m.partials.is_empty(), "partials released");
+        }
+        // Every reader answers as before the release, and none of them
+        // rebuilds what was released.
+        assert!(status.tiles_total > 1);
+        assert_eq!(status.tiles_done, status.tiles_total);
+        assert_eq!(service.status(id).expect("status"), status);
+        let events = service.events(id, 0).expect("events");
+        assert_eq!(events.len() as u64, status.next_seq);
+        let done = events
+            .iter()
+            .filter(|e| matches!(e.kind, JobEventKind::TileDone { .. }))
+            .count();
+        assert_eq!(done, status.tiles_total);
+        assert_eq!(service.report_text(id, false).expect("report").1, flat);
+        assert_eq!(service.report_text(id, true).expect("report").1, flat);
+        assert_eq!(service.score_json(id).expect("score").1, flat_score.render());
+        assert!(service.resume(id).is_err(), "a done job does not resume");
+        assert!(job.m.lock().expect("lock").ctx.is_none());
+        assert_eq!(service.status(id).expect("status"), status);
+        // A job whose merge fails (seed 33 is refused at halo 64)
+        // releases the same state and keeps its diagnostic.
+        let id = service.submit(spec, small_gds(33)).expect("submit");
+        let status = service.wait(id).expect("wait");
+        assert_eq!(status.state, JobState::Failed);
+        assert!(service.job(id).expect("job").m.lock().expect("lock").ctx.is_none());
+        let err = service.results(id, true).expect_err("failed job has no report");
+        assert!(err.contains("merge failed"), "{err}");
+        assert_eq!(service.status(id).expect("status"), status);
     }
 
     #[test]
@@ -2355,15 +2427,11 @@ mod tests {
                 .fault_plane(Arc::new(FaultPlane::new(plan)))
                 .build(),
         );
-        let id = service.submit(spec.clone(), gds).expect("submit");
+        let id = service.submit(spec.clone(), gds.clone()).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
         assert_eq!(cache.len(), status.tiles_total - 1, "the retried tile is absent");
-        let ctx = {
-            let m = JobContext::build(&spec, &service.job(id).expect("job").m.lock().expect("lock").gds)
-                .expect("ctx");
-            m
-        };
+        let ctx = JobContext::build(&spec, &gds).expect("ctx");
         assert!(!cache.contains(ctx.cache_key(2)), "retried tile never cached");
         drop(service);
         let _ = std::fs::remove_dir_all(&root);

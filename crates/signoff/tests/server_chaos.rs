@@ -6,7 +6,8 @@
 
 use dfm_fault::{FaultAction, FaultPlan, FaultPlane, FaultRule};
 use dfm_layout::{gds, generate, layers, Technology};
-use dfm_signoff::server::SITE_SERVER_WRITE;
+use dfm_signoff::proto::{Request, Response};
+use dfm_signoff::server::{MAX_CONNECTIONS, SITE_SERVER_WRITE};
 use dfm_signoff::service::JobState;
 use dfm_signoff::{flat_report, Client, JobSpec, Server, ServiceConfig, SignoffService};
 use std::io::{BufRead, BufReader, Write};
@@ -45,6 +46,75 @@ fn with_retry<T>(addr: SocketAddr, mut f: impl FnMut(&mut Client) -> Result<T, S
             }
         }
         assert!(Instant::now() < deadline, "server unreachable through the chaos");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Sends one v2 ping on `stream` and returns the reply frame, or `None`
+/// when the server closed the connection instead.
+fn ping(stream: &TcpStream) -> Option<Response> {
+    let mut writer = stream;
+    let line = Request::Ping.to_json().render() + "\n";
+    if writer.write_all(line.as_bytes()).is_err() {
+        return None;
+    }
+    let mut reply = String::new();
+    match BufReader::new(stream).read_line(&mut reply) {
+        Ok(n) if n > 0 => Some(Response::parse(reply.trim_end()).expect("frame parses")),
+        _ => None,
+    }
+}
+
+/// The server serves at most `MAX_CONNECTIONS` connections at once. One
+/// more gets a single v2 `busy` frame and is closed; a slot a departing
+/// client frees is served again.
+#[test]
+fn connections_over_the_cap_get_one_busy_frame_and_close() {
+    let service = Arc::new(SignoffService::with_config(ServiceConfig::builder().build()));
+    let server = Server::bind(Arc::clone(&service), 0).expect("bind");
+    let addr = server.local_addr();
+    std::thread::spawn(move || {
+        let _ = server.serve();
+    });
+
+    // A pong on each proves the server accepted and counted it.
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            assert_eq!(ping(&stream), Some(Response::Pong));
+            stream
+        })
+        .collect();
+
+    let extra = TcpStream::connect(addr).expect("connect");
+    // Without the cap the server would serve this one and stay silent.
+    extra.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut reader = BufReader::new(&extra);
+    let mut frame = String::new();
+    reader.read_line(&mut frame).expect("busy frame");
+    match Response::parse(frame.trim_end()).expect("frame parses") {
+        Response::Error { error } => assert_eq!(error.code, "busy", "{error}"),
+        other => panic!("expected a busy error, got {other:?}"),
+    }
+    assert!(frame.contains("\"v\":2"), "{frame}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("eof"), 0, "closed after one frame");
+
+    // Every held connection is still served.
+    for stream in &held {
+        assert_eq!(ping(stream), Some(Response::Pong));
+    }
+
+    // Once one client leaves, a newcomer is served again (the slot is
+    // released when that connection's thread sees the EOF).
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stream = TcpStream::connect(addr).expect("connect");
+        if ping(&stream) == Some(Response::Pong) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "a freed slot is never served");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
